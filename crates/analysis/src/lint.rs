@@ -17,9 +17,10 @@
 //!   pooled scratch), so a fresh buffer on the request path is either a
 //!   regression or a legitimately cold path that belongs in the
 //!   `analysis.toml` allowlist with a reason.
-//! * **`lock-order-ascending`** — any client file issuing
-//!   `Request::ParityReadLock` (the §5.1 parity-lock acquisition) must
-//!   carry the ascending-group-order guard
+//! * **`lock-order-ascending`** — any file that acquires §5.1 parity
+//!   locks by issuing `Request::ParityReadLock` (the core client
+//!   drivers and the live cluster's §6.7 cleaner, which holds a run of
+//!   group locks at once) must carry the ascending-group-order guard
 //!   (`windows(2).all(|w| w[0].group < w[1].group)`): acquiring parity
 //!   locks lowest-group-first is the protocol's only deadlock defence.
 //! * **`todo`** — a TODO/FIXME inventory (reported, never fatal).
@@ -282,6 +283,14 @@ fn in_request_path(rel: &str) -> bool {
         || rel == "crates/cluster/src/client.rs"
 }
 
+/// Does this file *acquire* parity locks for `lock-order-ascending`?
+/// The core client drivers and the cluster's §6.7 cleaner do; the
+/// server only *dispatches* `ParityReadLock`, and the cluster engine
+/// only classifies it.
+fn acquires_parity_locks(rel: &str) -> bool {
+    rel.starts_with("crates/core/src/client/") || rel == "crates/cluster/src/maintain.rs"
+}
+
 /// The textual form of the §5.1 guard `lock-order-ascending` requires.
 const ORDER_GUARD: &str = ".group < w[1].group";
 
@@ -348,9 +357,8 @@ fn lint_file(rel: &str, text: &str, cfg: &Config, report: &mut LintReport) {
             }
         }
 
-        // lock-order-ascending bookkeeping (client files only: the
-        // server *dispatches* ParityReadLock, clients *acquire* it).
-        if rel.starts_with("crates/core/src/client/") {
+        // lock-order-ascending bookkeeping (acquiring files only).
+        if acquires_parity_locks(rel) {
             if code.contains("Request::ParityReadLock") {
                 lock_sites.push(lineno);
             }
@@ -447,6 +455,23 @@ mod tests {
         );
         let r = lint_str("crates/core/src/client/write.rs", &guarded);
         assert!(r.violations.iter().all(|v| v.rule != "lock-order-ascending"));
+    }
+
+    #[test]
+    fn cleaner_lock_sites_need_the_guard_too() {
+        let site = "fn f() { let r = Request::ParityReadLock { hdr, group, intra, len }; }\n";
+        let r = lint_str("crates/cluster/src/maintain.rs", site);
+        assert_eq!(r.violations.iter().filter(|v| v.rule == "lock-order-ascending").count(), 1);
+        let guarded = format!(
+            "fn f() {{\n    debug_assert!(d.windows(2).all(|w| w[0]{ORDER_GUARD}));\n    let r = Request::ParityReadLock {{ hdr, group, intra, len }};\n}}\n"
+        );
+        let r = lint_str("crates/cluster/src/maintain.rs", &guarded);
+        assert!(r.violations.iter().all(|v| v.rule != "lock-order-ascending"));
+        // The server dispatches the request and the engine classifies
+        // it; neither acquires, so neither is in scope.
+        for rel in ["crates/core/src/server.rs", "crates/cluster/src/client.rs"] {
+            assert!(lint_str(rel, site).violations.iter().all(|v| v.rule != "lock-order-ascending"));
+        }
     }
 
     #[test]

@@ -808,34 +808,40 @@ impl File {
 
     /// Per-server storage usage for this file (paper Table 2).
     pub fn storage_report(&self) -> Result<StorageReport, CsarError> {
-        let hdr = self.hdr();
-        let mut per_server = Vec::with_capacity(self.handle.servers() as usize);
-        for srv in 0..self.handle.servers() {
-            match self.handle.send_one(srv, Request::GetUsage { hdr })? {
-                Response::Usage { usage } => per_server.push(usage),
-                Response::Err(e) => return Err(e),
-                other => return Err(CsarError::Protocol(format!("expected Usage, got {other:?}"))),
-            }
-        }
+        let per_server = self
+            .to_all_servers(|hdr| Request::GetUsage { hdr })?
+            .into_iter()
+            .map(|resp| match resp {
+                Response::Usage { usage } => Ok(usage),
+                Response::Err(e) => Err(e),
+                other => Err(CsarError::Protocol(format!("expected Usage, got {other:?}"))),
+            })
+            .collect::<Result<_, _>>()?;
         Ok(StorageReport::new(per_server))
     }
 
     /// Drop this file from every server's page-cache model (the paper's
     /// "contents have been removed from the cache" overwrite setup).
     pub fn evict_caches(&self) -> Result<(), CsarError> {
-        let hdr = self.hdr();
-        for srv in 0..self.handle.servers() {
-            self.handle.send_one(srv, Request::EvictFile { hdr })?.into_done()?;
+        for resp in self.to_all_servers(|hdr| Request::EvictFile { hdr })? {
+            resp.into_done()?;
         }
         Ok(())
     }
 
     /// Run the §6.7 overflow compaction on every server.
     pub fn compact_overflow(&self) -> Result<(), CsarError> {
-        let hdr = self.hdr();
-        for srv in 0..self.handle.servers() {
-            self.handle.send_one(srv, Request::CompactOverflow { hdr })?.into_done()?;
+        for resp in self.to_all_servers(|hdr| Request::CompactOverflow { hdr })? {
+            resp.into_done()?;
         }
         Ok(())
+    }
+
+    /// Send one request to every server as a single wave and return the
+    /// replies in server order, so callers report the lowest server's
+    /// error first.
+    fn to_all_servers(&self, req: impl Fn(ReqHeader) -> Request) -> Result<Vec<Response>, CsarError> {
+        let hdr = self.hdr();
+        self.handle.send_batch((0..self.handle.servers()).map(|srv| (srv, req(hdr))).collect())
     }
 }

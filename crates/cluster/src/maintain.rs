@@ -16,13 +16,16 @@
 //! mirror block against its primary — the invariant all recovery paths
 //! rely on.
 
+use crate::client::{File, Handle};
 use crate::deploy::Cluster;
+use csar_core::manager::FileMeta;
 use csar_core::proto::{ReqHeader, Request, Response, Scheme, ServerId};
 use csar_core::{CsarError, Span};
-use csar_obs::{Ctr, SpanKind};
+use csar_obs::{Ctr, MetricsRegistry, SpanKind};
 use csar_parity::ParityAccumulator;
 use csar_store::{Payload, StreamKind};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -127,24 +130,41 @@ impl Cluster {
     /// overflow entries, then compact the logs. Returns the overflow
     /// bytes reclaimed.
     ///
-    /// Per group the pass is:
+    /// Each file is cleaned in runs of up to four consecutive groups
+    /// (`RUN_GROUPS`), and every step of a run is one wave of requests:
     ///
-    /// 1. **Ranged liveness query** — one `OverflowQuery` per block copy
-    ///    (primary and mirror), clipped to the group's byte range, so
-    ///    only groups that actually hold live overflow are rewritten.
-    ///    The reply also carries the owning table's generation, sampled
-    ///    here as the reclaim guard.
-    /// 2. **Locked rewrite** — take the group's §5.1 parity lock, read
-    ///    the latest contents (`ReadLatest` overlays live overflow),
-    ///    write them back in place *without* invalidating, and publish
-    ///    fresh parity with the unlock-write. Tail groups are rewritten
-    ///    clipped to EOF; parity is computed over the zero-extended
-    ///    group, matching how holes read as zeros.
-    /// 3. **Conditional reclaim** — `InvalidateOverflowRange` with the
-    ///    sampled generation. If a partial write raced the rewrite the
-    ///    generation has advanced and the server declines: the writer's
-    ///    newer overflow entry keeps masking the (now stale) in-place
-    ///    bytes and the group's reclaim is deferred to the next pass.
+    /// 1. **Ranged liveness wave** — one `OverflowQuery` per block copy
+    ///    (primary and mirror) of every group in the run, each clipped
+    ///    to its block's byte range, so only groups that actually hold
+    ///    live overflow ("dirty" groups) are rewritten. Each reply also
+    ///    carries the owning table's generation, sampled here, before
+    ///    any lock, as the reclaim guard.
+    /// 2. **Locks** — take the dirty groups' §5.1 parity locks in
+    ///    ascending group order, each issued only after the previous
+    ///    grant, so locking writers and other cleaners serialize
+    ///    against the run.
+    /// 3. **Reads** — one read of the latest contents (`ReadLatest`
+    ///    overlays live overflow) per contiguous dirty segment. Tail
+    ///    groups are read clipped to EOF.
+    /// 4. **Write-and-unlock wave** — every in-place `WriteData`
+    ///    (without invalidation) first, then each group's
+    ///    `ParityWriteUnlock` with fresh parity over the zero-extended
+    ///    group (holes read as zeros). A batch is issued in FIFO order,
+    ///    so every data write is queued at its server before an unlock
+    ///    can hand a lock to a waiting writer.
+    /// 5. **Conditional reclaim wave** — `InvalidateOverflowRange` per
+    ///    guard with its sampled generation. If a partial write raced
+    ///    the rewrite the generation has advanced and the server
+    ///    declines: the writer's newer overflow entry keeps masking the
+    ///    (now stale) in-place bytes and the group's reclaim is deferred
+    ///    to the next pass.
+    ///
+    /// An error after a grant but before the write-and-unlock wave
+    /// releases every held lock with the parity its grant returned —
+    /// nothing has been written yet, so that parity is still correct —
+    /// and the pass returns the error. Per file, the usage reports
+    /// before and after and the compaction each go to all servers as
+    /// one wave.
     ///
     /// Concurrent *whole-group* writers remain last-writer-wins against
     /// the cleaner's rewrite, exactly as two racing whole-group writes
@@ -153,9 +173,10 @@ impl Cluster {
         self.clean_pass_hooked(&mut |_| {})
     }
 
-    /// Test seam: `clean_pass` with a callback invoked after each
-    /// group's latest contents are read but before they are rewritten —
-    /// the exact window a concurrent partial write must survive.
+    /// Test seam: `clean_pass` with a callback invoked for each dirty
+    /// group after its latest contents are read but before they are
+    /// rewritten — the exact window a concurrent partial write must
+    /// survive.
     #[doc(hidden)]
     pub fn clean_pass_hooked(&self, mid_rewrite: &mut dyn FnMut(u64)) -> Result<u64, CsarError> {
         let client = self.client();
@@ -170,128 +191,17 @@ impl Cluster {
             if before.overflow + before.overflow_mirror == 0 {
                 continue;
             }
-            let ly = meta.layout;
-            let unit = ly.stripe_unit;
-            let hdr = ReqHeader::new(meta.fh, ly, meta.scheme);
-            let h = client.handle();
-            let groups = meta.size.div_ceil(ly.group_width_bytes());
-            let mut acc = ParityAccumulator::new(unit as usize);
-            for g in 0..groups {
-                obs.inc(Ctr::CleanerGroupsScanned);
-                // 1. Ranged liveness + generation guards, per block copy.
-                let mut guards: Vec<(ServerId, bool, u64, u64, u64)> = Vec::new();
-                for b in ly.group_blocks(g) {
-                    let off = b * unit;
-                    if off >= meta.size {
-                        break;
-                    }
-                    let len = unit.min(meta.size - off);
-                    for (mirror, srv) in [(false, ly.home_server(b)), (true, ly.mirror_server(b))] {
-                        match h.send_one(srv, Request::OverflowQuery { hdr, off, len, mirror })? {
-                            Response::OverflowStatus { live_bytes, generation } => {
-                                if live_bytes > 0 {
-                                    guards.push((srv, mirror, off, len, generation));
-                                }
-                            }
-                            Response::Err(e) => return Err(e),
-                            other => {
-                                return Err(CsarError::Protocol(format!(
-                                    "expected OverflowStatus, got {other:?}"
-                                )))
-                            }
-                        }
-                    }
-                }
-                if guards.is_empty() {
-                    continue;
-                }
-                let t0 = Instant::now();
-                let (go, glen) = ly.group_byte_range(g);
-                let rlen = glen.min(meta.size - go);
-                // 2. Locked rewrite: hold the group's parity lock across
-                // read → write → parity so locking writers and other
-                // cleaners serialize against it.
-                h.send_one(
-                    ly.parity_server(g),
-                    Request::ParityReadLock { hdr, group: g, intra: 0, len: unit },
-                )?
-                .into_payload()?;
-                let latest = file.read_payload(go, rlen)?;
-                mid_rewrite(g);
-                let mut per_server: BTreeMap<ServerId, Vec<(Span, Payload)>> = BTreeMap::new();
-                for s in ly.spans(go, rlen) {
-                    per_server
-                        .entry(ly.home_server(ly.block_of(s.logical_off)))
-                        .or_default()
-                        .push((s, latest.slice(s.logical_off - go, s.len)));
-                }
-                let batch: Vec<(ServerId, Request)> = per_server
-                    .into_iter()
-                    .map(|(srv, spans)| {
-                        (
-                            srv,
-                            Request::WriteData {
-                                hdr,
-                                spans,
-                                // Invalidation is the separate,
-                                // generation-guarded step 3.
-                                invalidate_primary: false,
-                                invalidate_mirror_spans: vec![],
-                            },
-                        )
-                    })
-                    .collect();
-                for resp in h.send_batch(batch)? {
-                    resp.into_done()?;
-                }
-                // Fresh parity over the zero-extended group (a tail
-                // group's missing bytes read as zeros, so folding only
-                // the live spans is exact).
-                let parity = if latest.is_data() {
-                    acc.reset_to(unit as usize);
-                    for s in ly.spans(go, rlen) {
-                        let sl = latest.slice(s.logical_off - go, s.len);
-                        let mut off = (s.logical_off % unit) as usize;
-                        for c in sl.chunks() {
-                            acc.fold_at(off, c);
-                            off += c.len();
-                        }
-                    }
-                    Payload::from_vec(acc.current().to_vec())
-                } else {
-                    Payload::Phantom(unit)
-                };
-                h.send_one(
-                    ly.parity_server(g),
-                    Request::ParityWriteUnlock { hdr, group: g, intra: 0, payload: parity },
-                )?
-                .into_done()?;
-                // 3. Conditional reclaim.
-                let mut deferred = false;
-                for &(srv, mirror, off, len, gen) in &guards {
-                    let freed = h
-                        .send_one(
-                            srv,
-                            Request::InvalidateOverflowRange {
-                                hdr,
-                                off,
-                                len,
-                                mirror,
-                                if_generation: gen,
-                            },
-                        )?
-                        .into_done()?;
-                    if freed == 0 {
-                        deferred = true;
-                    } else if !mirror {
-                        obs.add(Ctr::CleanerBytesReclaimed, freed);
-                    }
-                }
-                obs.inc(Ctr::CleanerGroupsRewritten);
-                if deferred {
-                    obs.inc(Ctr::CleanerGroupsDeferred);
-                }
-                obs.span(SpanKind::CleanerGroup, t0, g);
+            let mut runs = RunCleaner {
+                h: client.handle(),
+                obs,
+                file: &file,
+                meta: &meta,
+                hdr: ReqHeader::new(meta.fh, meta.layout, meta.scheme),
+                acc: ParityAccumulator::new(meta.layout.stripe_unit as usize),
+            };
+            let groups = meta.size.div_ceil(meta.layout.group_width_bytes());
+            for first in (0..groups).step_by(RUN_GROUPS as usize) {
+                runs.clean(first..groups.min(first + RUN_GROUPS), mid_rewrite)?;
             }
             file.compact_overflow()?;
             let after = file.storage_report()?.aggregate();
@@ -389,5 +299,230 @@ impl Cluster {
         obs.add(Ctr::ScrubMirrorsChecked, report.mirrors_checked);
         obs.span(SpanKind::Scrub, t0, report.groups_checked + report.mirrors_checked);
         Ok(report)
+    }
+}
+
+/// Consecutive groups per cleaner run (see [`Cluster::clean_pass`]).
+/// Each step of a run is one wave, so round trips are paid per run
+/// rather than per group; the price is holding up to this many §5.1
+/// locks at once.
+const RUN_GROUPS: u64 = 4;
+
+/// A group of the current run with live overflow.
+struct Dirty {
+    group: u64,
+    /// Block copies holding live overflow, each with its table's
+    /// generation sampled before any lock: `(server, mirror, off, len,
+    /// generation)`.
+    guards: Vec<(ServerId, bool, u64, u64, u64)>,
+    /// The parity the group's lock grant returned, while the cleaner
+    /// holds the lock and has written nothing.
+    granted: Option<Payload>,
+}
+
+/// One Hybrid file being cleaned, run by run.
+struct RunCleaner<'a> {
+    h: &'a Handle,
+    obs: &'a MetricsRegistry,
+    file: &'a File,
+    meta: &'a FileMeta,
+    hdr: ReqHeader,
+    acc: ParityAccumulator,
+}
+
+impl RunCleaner<'_> {
+    /// Clean the groups of `run` in the five steps of
+    /// [`Cluster::clean_pass`].
+    fn clean(&mut self, run: Range<u64>, mid_rewrite: &mut dyn FnMut(u64)) -> Result<(), CsarError> {
+        let mut dirty = self.query(run)?;
+        if dirty.is_empty() {
+            return Ok(());
+        }
+        let t0 = Instant::now();
+        let batch = match self.lock_and_read(&mut dirty, mid_rewrite) {
+            Ok(batch) => batch,
+            Err(e) => {
+                self.release(&mut dirty);
+                return Err(e);
+            }
+        };
+        // 4. Write-and-unlock wave; the unlocks publish fresh parity and
+        // release the run's locks.
+        for resp in self.h.send_batch(batch)? {
+            resp.into_done()?;
+        }
+        // 5. Conditional reclaim wave.
+        let hdr = self.hdr;
+        let reclaims = dirty
+            .iter()
+            .flat_map(|d| &d.guards)
+            .map(|&(srv, mirror, off, len, gen)| {
+                (srv, Request::InvalidateOverflowRange { hdr, off, len, mirror, if_generation: gen })
+            })
+            .collect();
+        let freed = self
+            .h
+            .send_batch(reclaims)?
+            .into_iter()
+            .map(Response::into_done)
+            .collect::<Result<Vec<u64>, _>>()?;
+        let mut at = 0;
+        for d in &dirty {
+            let freed = &freed[at..at + d.guards.len()];
+            at += d.guards.len();
+            for (&(_, mirror, ..), &bytes) in d.guards.iter().zip(freed) {
+                if !mirror {
+                    self.obs.add(Ctr::CleanerBytesReclaimed, bytes);
+                }
+            }
+            self.obs.inc(Ctr::CleanerGroupsRewritten);
+            if freed.contains(&0) {
+                self.obs.inc(Ctr::CleanerGroupsDeferred);
+            }
+            self.obs.span(SpanKind::CleanerGroup, t0, d.group);
+        }
+        Ok(())
+    }
+
+    /// Step 1: one wave of ranged liveness queries over every block
+    /// copy of `run`. Returns the dirty groups in ascending order with
+    /// their reclaim guards.
+    fn query(&self, run: Range<u64>) -> Result<Vec<Dirty>, CsarError> {
+        let ly = self.meta.layout;
+        let (unit, size) = (ly.stripe_unit, self.meta.size);
+        let mut copies: Vec<(u64, ServerId, bool, u64, u64)> = Vec::new();
+        for g in run {
+            self.obs.inc(Ctr::CleanerGroupsScanned);
+            for b in ly.group_blocks(g) {
+                let off = b * unit;
+                if off >= size {
+                    break;
+                }
+                let len = unit.min(size - off);
+                for (mirror, srv) in [(false, ly.home_server(b)), (true, ly.mirror_server(b))] {
+                    copies.push((g, srv, mirror, off, len));
+                }
+            }
+        }
+        let hdr = self.hdr;
+        let batch = copies
+            .iter()
+            .map(|&(_, srv, mirror, off, len)| (srv, Request::OverflowQuery { hdr, off, len, mirror }))
+            .collect();
+        let mut dirty: Vec<Dirty> = Vec::new();
+        for (&(group, srv, mirror, off, len), resp) in copies.iter().zip(self.h.send_batch(batch)?) {
+            let generation = match resp {
+                Response::OverflowStatus { live_bytes: 0, .. } => continue,
+                Response::OverflowStatus { generation, .. } => generation,
+                Response::Err(e) => return Err(e),
+                other => {
+                    return Err(CsarError::Protocol(format!(
+                        "expected OverflowStatus, got {other:?}"
+                    )))
+                }
+            };
+            let guard = (srv, mirror, off, len, generation);
+            match dirty.last_mut() {
+                Some(d) if d.group == group => d.guards.push(guard),
+                _ => dirty.push(Dirty { group, guards: vec![guard], granted: None }),
+            }
+        }
+        Ok(dirty)
+    }
+
+    /// Steps 2–3: lock the dirty groups, read each contiguous dirty
+    /// segment once, and build the write-and-unlock wave. Each grant is
+    /// kept in `dirty` as it arrives, so on failure the caller can
+    /// release exactly the locks held.
+    fn lock_and_read(
+        &mut self,
+        dirty: &mut [Dirty],
+        mid_rewrite: &mut dyn FnMut(u64),
+    ) -> Result<Vec<(ServerId, Request)>, CsarError> {
+        let ly = self.meta.layout;
+        let (unit, size, hdr) = (ly.stripe_unit, self.meta.size, self.hdr);
+        // §5.1: lowest group first, each lock issued only after the
+        // previous grant — the protocol's only deadlock defence.
+        debug_assert!(dirty.windows(2).all(|w| w[0].group < w[1].group));
+        for d in dirty.iter_mut() {
+            let lock = Request::ParityReadLock { hdr, group: d.group, intra: 0, len: unit };
+            d.granted = Some(self.h.send_one(ly.parity_server(d.group), lock)?.into_payload()?);
+        }
+        let mut per_server: BTreeMap<ServerId, Vec<(Span, Payload)>> = BTreeMap::new();
+        let mut unlocks = Vec::with_capacity(dirty.len());
+        for seg in dirty.chunk_by(|a, b| a.group + 1 == b.group) {
+            let seg_off = ly.group_byte_range(seg[0].group).0;
+            let (last_off, width) = ly.group_byte_range(seg[seg.len() - 1].group);
+            let latest = self.file.read_payload(seg_off, (last_off + width).min(size) - seg_off)?;
+            for d in seg {
+                mid_rewrite(d.group);
+                let (go, glen) = ly.group_byte_range(d.group);
+                let spans = ly.spans(go, glen.min(size - go));
+                // Fresh parity over the zero-extended group (a tail
+                // group's missing bytes read as zeros, so folding only
+                // the live spans is exact).
+                let parity = if latest.is_data() {
+                    self.acc.reset_to(unit as usize);
+                    for s in &spans {
+                        let mut off = (s.logical_off % unit) as usize;
+                        for c in latest.slice(s.logical_off - seg_off, s.len).chunks() {
+                            self.acc.fold_at(off, c);
+                            off += c.len();
+                        }
+                    }
+                    Payload::from_vec(self.acc.current().to_vec())
+                } else {
+                    Payload::Phantom(unit)
+                };
+                for s in spans {
+                    per_server
+                        .entry(ly.home_server(ly.block_of(s.logical_off)))
+                        .or_default()
+                        .push((s, latest.slice(s.logical_off - seg_off, s.len)));
+                }
+                unlocks.push((
+                    ly.parity_server(d.group),
+                    Request::ParityWriteUnlock { hdr, group: d.group, intra: 0, payload: parity },
+                ));
+            }
+        }
+        Ok(per_server
+            .into_iter()
+            .map(|(srv, spans)| {
+                (
+                    srv,
+                    Request::WriteData {
+                        hdr,
+                        spans,
+                        // Invalidation is the separate,
+                        // generation-guarded reclaim wave.
+                        invalidate_primary: false,
+                        invalidate_mirror_spans: vec![],
+                    },
+                )
+            })
+            .chain(unlocks)
+            .collect())
+    }
+
+    /// Release every lock still held in `dirty` with the parity its
+    /// grant returned. Nothing of the run has been written yet, so that
+    /// parity still matches the in-place data. Best effort: the caller
+    /// is already returning the error that brought it here.
+    fn release(&self, dirty: &mut [Dirty]) {
+        let (ly, hdr) = (self.meta.layout, self.hdr);
+        let unlocks: Vec<(ServerId, Request)> = dirty
+            .iter_mut()
+            .filter_map(|d| {
+                let payload = d.granted.take()?;
+                Some((
+                    ly.parity_server(d.group),
+                    Request::ParityWriteUnlock { hdr, group: d.group, intra: 0, payload },
+                ))
+            })
+            .collect();
+        if !unlocks.is_empty() {
+            let _ = self.h.send_batch(unlocks);
+        }
     }
 }

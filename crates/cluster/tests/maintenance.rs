@@ -190,6 +190,186 @@ fn cleaner_never_loses_a_concurrent_write() {
     cluster.shutdown();
 }
 
+/// The cleaner works in runs of consecutive groups. Dirty groups that
+/// straddle a run boundary, sit alone after a clean gap, or form a
+/// ragged tail clipped to EOF must each be rewritten exactly once.
+#[test]
+fn clean_pass_runs_cross_boundaries_gaps_and_a_clipped_tail() {
+    use csar_obs::Ctr;
+    let cluster = Cluster::spawn(4, Default::default());
+    cluster.set_metrics_enabled(true);
+    let client = cluster.client();
+    let unit = 1024u64;
+    let group = 3 * unit;
+    let f = client.create("runs", Scheme::Hybrid, unit).unwrap();
+    // Ten whole groups plus a ragged tail: groups 0..=10.
+    let body: Vec<u8> = (0..10 * group + 1000).map(|i| (i % 239) as u8).collect();
+    f.write_at(0, &body).unwrap();
+    let mut want = body;
+    // Dirty groups 2, 3 | 4 (one patch across the boundary between the
+    // first two runs), 7 after a clean gap, and tail group 10, whose
+    // patch also extends EOF.
+    let patches =
+        [(2 * group + 10, 100u64), (4 * group - 100, 200), (7 * group + 500, 50), (10 * group + 900, 300)];
+    for (i, &(off, len)) in patches.iter().enumerate() {
+        let patch = vec![0xC0 + i as u8; len as usize];
+        f.write_at(off, &patch).unwrap();
+        let end = (off + len) as usize;
+        if want.len() < end {
+            want.resize(end, 0);
+        }
+        want[off as usize..end].copy_from_slice(&patch);
+    }
+    assert!(f.storage_report().unwrap().aggregate().overflow > 0, "patches must overflow");
+
+    let reclaimed = cluster.clean_pass().unwrap();
+    assert!(reclaimed > 0);
+    let obs = cluster.obs();
+    assert_eq!(obs.counter(Ctr::CleanerGroupsScanned), 11, "every group scanned once");
+    assert_eq!(obs.counter(Ctr::CleanerGroupsRewritten), 5, "groups 2, 3, 4, 7 and 10");
+    assert_eq!(obs.counter(Ctr::CleanerGroupsDeferred), 0, "nothing raced the pass");
+    let agg = f.storage_report().unwrap().aggregate();
+    assert_eq!(agg.overflow + agg.overflow_mirror, 0);
+    assert_eq!(f.read_at(0, want.len() as u64).unwrap(), want);
+    assert!(cluster.scrub().unwrap().is_clean());
+    cluster.shutdown();
+}
+
+/// The lost-update race inside a run: the racer hits the middle group
+/// of three dirty neighbours after the run's read. Its write must
+/// survive, the group's reclaim must be deferred, and the next pass must
+/// drain everything.
+#[test]
+fn cleaner_never_loses_a_concurrent_write_mid_run() {
+    use csar_obs::Ctr;
+    let cluster = Cluster::spawn(4, Default::default());
+    cluster.set_metrics_enabled(true);
+    let client = cluster.client();
+    let unit = 1024u64;
+    let group = 3 * unit;
+    let f = client.create("raced-run", Scheme::Hybrid, unit).unwrap();
+    let body: Vec<u8> = (0..6 * group).map(|i| (i % 233) as u8).collect();
+    f.write_at(0, &body).unwrap();
+    let mut want = body;
+    for g in 0..3u64 {
+        let off = (g * group + 300) as usize;
+        f.write_at(off as u64, &[0x30 + g as u8; 80]).unwrap();
+        want[off..off + 80].fill(0x30 + g as u8);
+    }
+
+    let racer = cluster.client();
+    let rf = racer.open("raced-run").unwrap();
+    let raced = std::cell::Cell::new(false);
+    cluster
+        .clean_pass_hooked(&mut |g| {
+            if g == 1 && !raced.get() {
+                raced.set(true);
+                rf.write_at(group + 1000, &[0x77u8; 120]).unwrap();
+            }
+        })
+        .unwrap();
+    assert!(raced.get(), "the hook must have fired for group 1");
+    want[group as usize + 1000..group as usize + 1120].fill(0x77);
+
+    assert_eq!(f.read_at(0, want.len() as u64).unwrap(), want);
+    assert!(f.storage_report().unwrap().aggregate().overflow > 0, "the racer's entry survives");
+    assert!(cluster.obs().counter(Ctr::CleanerGroupsDeferred) > 0, "the raced reclaim is deferred");
+    assert!(cluster.scrub().unwrap().is_clean(), "parity must match the in-place data");
+
+    cluster.clean_pass().unwrap();
+    let agg = f.storage_report().unwrap().aggregate();
+    assert_eq!(agg.overflow + agg.overflow_mirror, 0);
+    assert_eq!(f.read_at(0, want.len() as u64).unwrap(), want);
+    assert!(cluster.scrub().unwrap().is_clean());
+    cluster.shutdown();
+}
+
+/// A pass that fails while holding §5.1 parity locks must release them:
+/// a data server of group 1 fails mid-rewrite, comes back, and the next
+/// pass (with a short reply deadline, so a leaked lock shows as a
+/// timeout instead of a hang) must run to completion.
+#[test]
+fn failed_clean_pass_releases_its_parity_locks() {
+    let cluster = Cluster::spawn(4, Default::default());
+    let client = cluster.client();
+    let unit = 1024u64;
+    let group = 3 * unit;
+    let f = client.create("leak", Scheme::Hybrid, unit).unwrap();
+    let body: Vec<u8> = (0..4 * group).map(|i| (i % 229) as u8).collect();
+    f.write_at(0, &body).unwrap();
+    f.write_at(group + 50, &[0x5Au8; 100]).unwrap();
+    let mut want = body;
+    want[group as usize + 50..group as usize + 150].fill(0x5A);
+
+    let ly = f.meta().layout;
+    let victim = ly
+        .group_blocks(1)
+        .map(|b| ly.home_server(b))
+        .find(|&s| s != ly.parity_server(1))
+        .unwrap();
+    let err = cluster
+        .clean_pass_hooked(&mut |g| {
+            if g == 1 {
+                cluster.fail_server(victim);
+            }
+        })
+        .unwrap_err();
+    assert!(matches!(err, csar_core::CsarError::ServerDown(s) if s == victim), "{err:?}");
+
+    cluster.restore_server(victim);
+    cluster.set_reply_timeout(Duration::from_millis(500));
+    cluster.clean_pass().unwrap();
+    let agg = f.storage_report().unwrap().aggregate();
+    assert_eq!(agg.overflow + agg.overflow_mirror, 0);
+    assert_eq!(f.read_at(0, want.len() as u64).unwrap(), want);
+    assert!(cluster.scrub().unwrap().is_clean());
+    cluster.shutdown();
+}
+
+/// An error between the lock grants and the write wave — here a read
+/// that loses two servers — must unlock every group the run holds, with
+/// the parity the grants returned, so the next pass is not blocked.
+#[test]
+fn clean_pass_failing_before_its_writes_unlocks_every_held_group() {
+    let cluster = Cluster::spawn(4, Default::default());
+    let client = cluster.client();
+    let unit = 1024u64;
+    let group = 3 * unit;
+    let f = client.create("unlock", Scheme::Hybrid, unit).unwrap();
+    let body: Vec<u8> = (0..4 * group).map(|i| (i % 227) as u8).collect();
+    f.write_at(0, &body).unwrap();
+    // Groups 0 and 2 are dirty: one run, two segments, two locks.
+    let mut want = body;
+    for g in [0u64, 2] {
+        let off = (g * group + 700) as usize;
+        f.write_at(off as u64, &[0x90 + g as u8; 60]).unwrap();
+        want[off..off + 60].fill(0x90 + g as u8);
+    }
+    // Once group 0 is read, fail two servers that hold neither lock, so
+    // group 2's read fails while both locks are held.
+    let ly = f.meta().layout;
+    let lock_holders = [ly.parity_server(0), ly.parity_server(2)];
+    let victims: Vec<u32> = (0..cluster.servers()).filter(|s| !lock_holders.contains(s)).take(2).collect();
+    assert_eq!(victims.len(), 2);
+    let err = cluster
+        .clean_pass_hooked(&mut |g| {
+            if g == 0 {
+                victims.iter().for_each(|&s| cluster.fail_server(s));
+            }
+        })
+        .unwrap_err();
+    assert!(matches!(err, csar_core::CsarError::ServerDown(_)), "{err:?}");
+
+    victims.iter().for_each(|&s| cluster.restore_server(s));
+    cluster.set_reply_timeout(Duration::from_millis(500));
+    cluster.clean_pass().unwrap();
+    let agg = f.storage_report().unwrap().aggregate();
+    assert_eq!(agg.overflow + agg.overflow_mirror, 0);
+    assert_eq!(f.read_at(0, want.len() as u64).unwrap(), want);
+    assert!(cluster.scrub().unwrap().is_clean());
+    cluster.shutdown();
+}
+
 #[test]
 fn scrub_detects_corruption() {
     let cluster = Cluster::spawn(4, Default::default());
