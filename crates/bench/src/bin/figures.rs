@@ -1,12 +1,14 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [fig1|fig3|fig4a|fig4b|fig5|fig6|fig7|fig8|table2|all] [--scale S]
+//! figures [fig1|fig3|fig4a|fig4b|fig5|fig6|fig7|fig8|table2|extensions|all] [--scale S]
+//!         [--json PATH] [--bench-json <pipeline|datapath|obs|trace> PATH]
 //! ```
 //!
 //! Prints each figure as an aligned text table (the series the paper
 //! plots). `--scale` shrinks data volumes and caches proportionally for
-//! quick runs; shapes are preserved.
+//! quick runs; shapes are preserved. `--bench-json` runs the named
+//! ablation suite and writes its JSON to `PATH`.
 
 use csar_bench::figures::{self, FigOpts};
 use csar_bench::harness::render_table;
@@ -59,7 +61,7 @@ fn main() {
     let mut which: Vec<String> = Vec::new();
     let mut scale = 1.0f64;
     let mut json_path: Option<String> = None;
-    let mut bench_json_path: Option<String> = None;
+    let mut bench_json: Option<(BenchSuite, String)> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -73,32 +75,22 @@ fn main() {
                 json_path = Some(it.next().cloned().unwrap_or_else(|| usage("missing path for --json")));
             }
             "--bench-json" => {
-                // Optional path operand; defaults to BENCH_pipeline.json.
-                let path = match it.clone().next() {
-                    Some(p) if p.ends_with(".json") => {
-                        it.next();
-                        p.clone()
-                    }
-                    _ => "BENCH_pipeline.json".to_string(),
+                let suite = it.next().unwrap_or_else(|| usage("missing suite for --bench-json"));
+                let run: BenchSuite = match suite.as_str() {
+                    "pipeline" => |path, _| bench_pipeline(path),
+                    "datapath" => bench_datapath,
+                    "obs" => bench_obs,
+                    "trace" => bench_trace,
+                    other => usage(&format!("unknown --bench-json suite `{other}`")),
                 };
-                bench_json_path = Some(path);
+                let path = it.next().unwrap_or_else(|| usage("missing path for --bench-json"));
+                bench_json = Some((run, path.clone()));
             }
             other => which.push(other.to_string()),
         }
     }
-    if which.is_empty() && bench_json_path.is_none() {
+    if which.is_empty() && bench_json.is_none() {
         which.push("all".into());
-    }
-    // Optional kernel tuning override (repo-root parity.toml): applied
-    // before any parity work runs. Absent file = defaults; a malformed
-    // file is a hard error, never a silent fallback.
-    match csar_parity::tuning::load_file("parity.toml") {
-        Ok(true) => println!("applied parity.toml (parallel_threshold = {})", csar_parity::parallel_threshold()),
-        Ok(false) => {}
-        Err(e) => {
-            eprintln!("error: parity.toml: {e}");
-            std::process::exit(2);
-        }
     }
     let opts = FigOpts { scale };
     let all = which.iter().any(|w| w == "all");
@@ -134,16 +126,8 @@ fn main() {
     if wants("extensions") || which.iter().any(|w| w.starts_with("ext")) {
         extensions(&opts);
     }
-    if let Some(path) = bench_json_path {
-        if path.contains("datapath") {
-            bench_datapath(&path, scale);
-        } else if path.contains("obs") {
-            bench_obs(&path, scale);
-        } else if path.contains("trace") {
-            bench_trace(&path, scale);
-        } else {
-            bench_pipeline(&path);
-        }
+    if let Some((run, path)) = bench_json {
+        run(&path, scale);
     }
     if let Some(path) = json_path {
         let doc = JSON_OUT.with(|m| Json::Obj(m.borrow().clone()));
@@ -157,17 +141,21 @@ wrote machine-readable results to {path}");
     }
 }
 
+/// An ablation suite `--bench-json` runs: writes its JSON to the path,
+/// at the given `--scale`.
+type BenchSuite = fn(&str, f64);
+
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: figures [fig1|fig3|fig4a|fig4b|fig5|fig6|fig7|fig8|table2|extensions|all] [--scale S] [--json PATH] [--bench-json [PATH]]"
+        "usage: figures [fig1|fig3|fig4a|fig4b|fig5|fig6|fig7|fig8|table2|extensions|all] [--scale S] [--json PATH] [--bench-json <pipeline|datapath|obs|trace> PATH]"
     );
     std::process::exit(2);
 }
 
 /// The PR 2 pipelining ablation: barrier vs completion-driven delivery
-/// on the simulator, dumped as machine-readable JSON (default
-/// `BENCH_pipeline.json`).
+/// on the simulator, dumped as machine-readable JSON
+/// (`BENCH_pipeline.json`).
 fn bench_pipeline(path: &str) {
     header("Pipelined vs batch-barrier completion delivery");
     let grid = csar_bench::pipeline::compare_all();
@@ -214,20 +202,34 @@ fn bench_pipeline(path: &str) {
     println!("\nwrote pipelining ablation to {path}");
 }
 
-/// The PR 3 zero-allocation datapath ablation: kernel ladder GB/s,
-/// allocations per whole-group parity computation, and copying-fold vs
-/// in-place-fold wall-clock on the simulator, dumped as
-/// machine-readable JSON (`BENCH_datapath.json`).
+/// The zero-allocation datapath measurements: `xor_into` against a
+/// plain byte loop at the live path's block sizes, and allocations per
+/// whole-group parity computation, dumped as machine-readable JSON
+/// (`BENCH_datapath.json`).
 fn bench_datapath(path: &str, scale: f64) {
     use csar_bench::datapath;
 
-    header("XOR kernel ladder (1 MiB blocks, this host)");
-    let passes = ((64.0 * scale).ceil() as usize).max(4);
-    let rungs = datapath::kernel_ladder(1 << 20, passes);
-    println!("{:>10} {:>12} {:>10}", "kernel", "block", "GB/s");
-    for r in &rungs {
-        println!("{:>10} {:>12} {:>10.2}", r.kernel, r.block, r.gbps);
-    }
+    header("xor_into vs a plain byte loop (GB/s, median [quartiles], this host)");
+    let rounds = ((15.0 * scale).ceil() as usize).max(3);
+    let rates = datapath::xor_rates(&[4 << 10, 64 << 10, 1 << 20], rounds, 64 << 20);
+    println!("{:>10} {:>24} {:>24} {:>8}", "block", "xor_into", "plain loop", "ratio");
+    let fmt = |q: [f64; 3]| format!("{:.1} [{:.1}, {:.1}]", q[1], q[0], q[2]);
+    let rate_json: Vec<Json> = rates
+        .iter()
+        .map(|r| {
+            let (k, p) = (datapath::quartiles(&r.kernel_gbps), datapath::quartiles(&r.plain_gbps));
+            println!("{:>10} {:>24} {:>24} {:>7.2}x", r.block, fmt(k), fmt(p), k[1] / p[1]);
+            let q = |v: [f64; 3]| Json::Arr(v.iter().map(|&x| Json::from(x)).collect());
+            Json::obj([
+                ("block", Json::from(r.block as u64)),
+                ("rounds", Json::from(r.kernel_gbps.len() as u64)),
+                ("gbps", Json::from(k[1])),
+                ("gbps_quartiles", q(k)),
+                ("plain_loop_gbps", Json::from(p[1])),
+                ("plain_loop_gbps_quartiles", q(p)),
+            ])
+        })
+        .collect();
 
     header("Heap allocations per whole-group parity computation");
     let audit = datapath::whole_group_alloc_audit(5, 64 * 1024, 256);
@@ -241,54 +243,8 @@ fn bench_datapath(path: &str, scale: f64) {
         audit.steady_per_group()
     );
 
-    header("Copying vs in-place parity fold (sim wall-clock, real payloads)");
-    let grid = datapath::compare_all(scale);
-    println!(
-        "{:>8} {:>14} {:>14} {:>12} {:>12} {:>8}",
-        "scheme", "copying ns", "in-place ns", "copy MB/s", "inpl MB/s", "speedup"
-    );
-    let cases: Vec<Json> = grid
-        .iter()
-        .map(|c| {
-            println!(
-                "{:>8} {:>14} {:>14} {:>12.1} {:>12.1} {:>7.2}x",
-                c.scheme.label(),
-                c.copying.wall_ns,
-                c.inplace.wall_ns,
-                c.copying.wall_write_mbps(),
-                c.inplace.wall_write_mbps(),
-                c.speedup(),
-            );
-            Json::obj([
-                ("case", Json::from(c.case)),
-                ("scheme", Json::from(c.scheme.label())),
-                ("copying_wall_ns", Json::from(c.copying.wall_ns)),
-                ("inplace_wall_ns", Json::from(c.inplace.wall_ns)),
-                ("copying_wall_mbps", Json::from(c.copying.wall_write_mbps())),
-                ("inplace_wall_mbps", Json::from(c.inplace.wall_write_mbps())),
-                ("bytes_written", Json::from(c.inplace.virt.bytes_written)),
-                ("virtual_ns", Json::from(c.inplace.virt.duration_ns)),
-                ("speedup", Json::from(c.speedup())),
-            ])
-        })
-        .collect();
     let body = Json::obj([
-        ("parallel_threshold", Json::from(csar_parity::parallel_threshold() as u64)),
-        (
-            "kernels",
-            Json::Arr(
-                rungs
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("kernel", Json::from(r.kernel)),
-                            ("block", Json::from(r.block as u64)),
-                            ("gbps", Json::from(r.gbps)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("xor_into", Json::Arr(rate_json)),
         (
             "alloc_audit",
             Json::obj([
@@ -299,18 +255,17 @@ fn bench_datapath(path: &str, scale: f64) {
                 ("steady_allocs", Json::from(audit.steady_allocs)),
             ]),
         ),
-        ("cases", Json::Arr(cases)),
     ])
     .to_pretty();
     std::fs::write(path, body).unwrap_or_else(|e| {
         eprintln!("error: cannot write {path}: {e}");
         std::process::exit(1);
     });
-    println!("\nwrote datapath ablation to {path}");
+    println!("\nwrote datapath measurements to {path}");
 }
 
 /// The observability ablation: metrics-on vs metrics-off wall-clock on
-/// the datapath bench's RAID5 whole-group write shape, plus allocation
+/// the RAID5 whole-group write shape of `csar_bench::datapath`, plus allocation
 /// audits of the recording hot path and the parity fold with the global
 /// registry enabled, dumped as machine-readable JSON (`BENCH_obs.json`).
 fn bench_obs(path: &str, scale: f64) {

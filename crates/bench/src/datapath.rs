@@ -1,11 +1,12 @@
-//! The zero-allocation parity data path — the ablation behind
+//! The zero-allocation parity data path — the measurements behind
 //! `BENCH_datapath.json`.
 //!
-//! Three measurements, one claim each:
+//! Two measurements, one claim each:
 //!
-//! * **[`kernel_ladder`]** — raw XOR bandwidth of every kernel rung
-//!   (bytewise → wordwise → unrolled → parallel → auto-dispatch), the
-//!   §3 word-at-a-time effect measured on this host.
+//! * **[`xor_rates`]** — bandwidth of the one XOR kernel,
+//!   [`xor_into`], at the block sizes the live path folds, next to a
+//!   plain byte loop: the §3 word-at-a-time effect measured on this
+//!   host.
 //! * **[`whole_group_alloc_audit`]** — heap allocations per whole-group
 //!   parity computation when folding through a reused
 //!   [`ParityAccumulator`] and a [`BufferPool`] scratch buffer, counted
@@ -13,38 +14,18 @@
 //!   acceptance target is **zero** steady-state allocations: after the
 //!   first group warms the buffers up, computing another group touches
 //!   the heap not at all.
-//! * **[`compare_all`]** — end-to-end host wall-clock of simulator
-//!   write phases carrying *real* bytes ([`SimCluster::set_data_payloads`]),
-//!   with the write drivers on the copying fold
-//!   ([`SimCluster::set_copy_datapath`], the pre-PR behaviour: every
-//!   fold step clones, every splice re-concatenates) versus the
-//!   in-place fold. Virtual-time results are identical by construction
-//!   — the same modelled hardware runs the same protocol — so any
-//!   wall-clock difference is purely the byte pipeline.
 //!
-//! Wall-clock numbers are host-dependent; each side takes the best of
-//! three runs to shed scheduler noise. The allocation counts are exact
+//! The module also owns the steady-state whole-group write shape
+//! ([`WallRun`] and the geometry constants) that the observability and
+//! tracing ablations time. Wall-clock numbers are host-dependent and
+//! reported as median and quartiles; the allocation counts are exact
 //! and hermetic.
 
 use crate::alloc_count;
-use csar_core::proto::Scheme;
-use csar_parity::{
-    xor_into, xor_into_bytewise, xor_into_parallel, xor_into_unrolled, xor_into_wordwise,
-    ParityAccumulator,
-};
-use csar_sim::{HwProfile, Op, RunStats, SimCluster};
+use csar_parity::{xor_into, ParityAccumulator};
+use csar_sim::RunStats;
 use csar_store::{BufferPool, SplitMix64};
 use std::time::Instant;
-
-/// One rung of the XOR kernel ladder.
-#[derive(Debug, Clone)]
-pub struct KernelRung {
-    pub kernel: &'static str,
-    /// Buffer length the rung was timed on, bytes.
-    pub block: usize,
-    /// Destination bytes processed per second, GB/s.
-    pub gbps: f64,
-}
 
 fn filled(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
     let mut v = vec![0u8; len];
@@ -52,42 +33,74 @@ fn filled(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
     v
 }
 
-/// Time every kernel on `block`-byte buffers for `passes` iterations.
-///
-/// Passes are interleaved round-robin across the kernels rather than
-/// run rung by rung, so host-side slowdowns (CPU-quota throttling on
-/// small containers, background load) land on every rung instead of
-/// whichever happened to run last — the per-rung *ratios* stay honest
-/// even when absolute bandwidth wobbles.
-pub fn kernel_ladder(block: usize, passes: usize) -> Vec<KernelRung> {
-    let kernels: [(&'static str, fn(&mut [u8], &[u8])); 5] = [
-        ("bytewise", xor_into_bytewise),
-        ("wordwise", xor_into_wordwise),
-        ("unrolled", xor_into_unrolled),
-        ("parallel", xor_into_parallel),
-        ("auto", xor_into),
-    ];
-    let mut rng = SplitMix64::new(0xDA7A_0001);
-    let src = filled(&mut rng, block);
-    let mut dst = filled(&mut rng, block);
-    for &(_, f) in &kernels {
-        f(&mut dst, &src); // warm caches (and the parallel rung's threads)
+/// The baseline [`xor_into`] is measured against: one byte per step,
+/// as Swift/RAID started out.
+fn plain_loop(dst: &mut [u8], src: &[u8]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= *s;
     }
-    let mut secs = [0.0f64; 5];
-    for _ in 0..passes {
-        for (i, &(_, f)) in kernels.iter().enumerate() {
-            let t0 = Instant::now();
-            f(&mut dst, &src);
-            secs[i] += t0.elapsed().as_secs_f64();
+}
+
+type XorFn = fn(&mut [u8], &[u8]);
+
+/// [`xor_into`] and the plain byte loop timed on one block size.
+#[derive(Debug, Clone)]
+pub struct XorRate {
+    /// Buffer length, bytes.
+    pub block: usize,
+    /// `xor_into` bandwidth of each round, GB/s, ascending.
+    pub kernel_gbps: Vec<f64>,
+    /// Plain byte loop bandwidth of each round, GB/s, ascending.
+    pub plain_gbps: Vec<f64>,
+}
+
+/// Lower quartile, median and upper quartile of an ascending sample.
+pub fn quartiles(sorted: &[f64]) -> [f64; 3] {
+    let at = |q: f64| {
+        if sorted.is_empty() {
+            return 0.0;
         }
-    }
-    kernels
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// Time [`xor_into`] against the plain byte loop on each block size.
+///
+/// Each of `rounds` rounds XORs `bytes_per_round` bytes per side, block
+/// by block, with the two sides back to back in alternating order, so
+/// host drift and CPU-quota throttling land on both sides of a round.
+pub fn xor_rates(blocks: &[usize], rounds: usize, bytes_per_round: usize) -> Vec<XorRate> {
+    let mut rng = SplitMix64::new(0xDA7A_0001);
+    blocks
         .iter()
-        .zip(secs)
-        .map(|(&(kernel, _), s)| KernelRung {
-            kernel,
-            block,
-            gbps: (block * passes) as f64 / s.max(1e-9) / 1e9,
+        .map(|&block| {
+            let src = filled(&mut rng, block);
+            let mut dst = filled(&mut rng, block);
+            let passes = (bytes_per_round / block).max(1);
+            let sides: [XorFn; 2] = [xor_into, plain_loop];
+            for f in sides {
+                f(&mut dst, &src); // warm caches
+            }
+            let mut gbps = [Vec::with_capacity(rounds), Vec::with_capacity(rounds)];
+            for round in 0..rounds {
+                for k in 0..2 {
+                    let side = if round % 2 == 0 { k } else { 1 - k };
+                    let f = std::hint::black_box(sides[side]);
+                    let t0 = Instant::now();
+                    for _ in 0..passes {
+                        f(&mut dst, &src);
+                    }
+                    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+                    gbps[side].push((block * passes) as f64 / secs / 1e9);
+                }
+            }
+            let [mut kernel_gbps, mut plain_gbps] = gbps;
+            kernel_gbps.sort_by(f64::total_cmp);
+            plain_gbps.sort_by(f64::total_cmp);
+            XorRate { block, kernel_gbps, plain_gbps }
         })
         .collect()
 }
@@ -147,8 +160,8 @@ pub fn whole_group_alloc_audit(width: usize, unit: usize, groups: u64) -> AllocA
 /// One simulator phase timed on the host clock.
 #[derive(Debug, Clone)]
 pub struct WallRun {
-    /// Virtual-time stats of the measured phase (identical across
-    /// datapath modes; asserted by the tests).
+    /// Virtual-time stats of the measured phase (identical with metrics
+    /// or tracing on or off; asserted by the tests).
     pub virt: RunStats,
     /// Host wall-clock of the measured phase, ns.
     pub wall_ns: u64,
@@ -162,98 +175,24 @@ impl WallRun {
     }
 }
 
-/// Copying-fold vs in-place-fold wall-clock comparison for one scheme.
-#[derive(Debug, Clone)]
-pub struct DatapathComparison {
-    pub case: &'static str,
-    pub scheme: Scheme,
-    /// Pre-PR reference: per-step clone + re-concatenation folds.
-    pub copying: WallRun,
-    /// The in-place accumulation path.
-    pub inplace: WallRun,
-}
-
-impl DatapathComparison {
-    /// Copying wall time over in-place wall time (>1 ⇒ in-place wins).
-    pub fn speedup(&self) -> f64 {
-        self.copying.wall_ns as f64 / self.inplace.wall_ns.max(1) as f64
-    }
-}
-
-/// Run one measured write phase with real byte payloads.
-///
-/// The file is pre-written (extents and EOF established) and the disks
-/// settled, so the measured ops are steady-state whole-group
-/// overwrites — the shape the zero-allocation work targets. The ops
-/// cycle over [`SLOTS`] disjoint windows of the file, so the working
-/// set (and the sim's shared pattern buffer) stays bounded no matter
-/// how many ops the scale factor asks for.
-fn run_wall(
-    scheme: Scheme,
-    copy_datapath: bool,
-    servers: u32,
-    unit: u64,
-    groups_per_op: u64,
-    ops_n: u64,
-) -> WallRun {
-    let mut sim = SimCluster::new(HwProfile::myrinet_pentium3(), servers, 1);
-    sim.set_data_payloads(true);
-    sim.set_copy_datapath(copy_datapath);
-    let file = sim.create_file("datapath", scheme, unit);
-    let group = (servers as u64 - 1) * unit;
-    let len = groups_per_op * group;
-    sim.run_phase(vec![(0, vec![Op::Write { file, off: 0, len: SLOTS * len }])]);
-    sim.settle_disks();
-    let ops: Vec<Op> =
-        (0..ops_n).map(|i| Op::Write { file, off: (i % SLOTS) * len, len }).collect();
-    let t0 = Instant::now();
-    let virt = sim.run_phase(vec![(0, ops)]);
-    WallRun { virt, wall_ns: t0.elapsed().as_nanos() as u64 }
-}
-
-fn best_of(n: usize, mut f: impl FnMut() -> WallRun) -> WallRun {
-    let mut best = f();
-    for _ in 1..n {
-        let r = f();
-        if r.wall_ns < best.wall_ns {
-            best = r;
-        }
-    }
-    best
-}
-
-/// Geometry of the wall-clock comparison (exported so the tier-1 smoke
-/// run and the full bench agree on shape and differ only in volume).
+/// Geometry of the timed whole-group write phase (exported so the
+/// tier-1 smoke runs and the full benches agree on shape and differ
+/// only in volume).
 pub const SERVERS: u32 = 6;
 pub const UNIT: u64 = 256 * 1024;
 pub const GROUPS_PER_OP: u64 = 8;
-/// Distinct file windows the measured ops cycle over (see [`run_wall`]).
+/// Distinct file windows the measured ops cycle over, so the working
+/// set (and the sim's shared pattern buffer) stays bounded no matter
+/// how many ops the scale factor asks for.
 pub const SLOTS: u64 = 4;
-
-/// The comparison grid dumped into `BENCH_datapath.json`: multi-stripe
-/// whole-group overwrites under RAID1, RAID5 and Hybrid, copying fold
-/// vs in-place fold. `scale` shrinks the op count for smoke runs.
-pub fn compare_all(scale: f64) -> Vec<DatapathComparison> {
-    let ops_n = ((12.0 * scale).ceil() as u64).max(2);
-    [Scheme::Raid1, Scheme::Raid5, Scheme::Hybrid]
-        .into_iter()
-        .map(|scheme| {
-            let run = |copy| best_of(3, || run_wall(scheme, copy, SERVERS, UNIT, GROUPS_PER_OP, ops_n));
-            DatapathComparison {
-                case: "multi_stripe_whole_group",
-                scheme,
-                copying: run(true),
-                inplace: run(false),
-            }
-        })
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csar_core::proto::Scheme;
+    use csar_sim::{HwProfile, Op, SimCluster};
 
-    /// The PR's acceptance core: after warmup, a whole-group parity
+    /// The datapath's acceptance core: after warmup, a whole-group parity
     /// computation performs exactly zero heap allocations.
     #[test]
     fn steady_state_group_parity_is_allocation_free() {
@@ -265,16 +204,14 @@ mod tests {
         );
     }
 
-    /// The datapath mode only changes host-side byte handling: the
-    /// simulated protocol, virtual timings and byte accounting are
-    /// identical whether payloads are phantom or real, copied or folded
-    /// in place.
+    /// Real payloads only change host-side byte handling: the simulated
+    /// protocol, virtual timings and byte accounting are identical
+    /// whether payloads are phantom or carry bytes through the folds.
     #[test]
-    fn datapath_mode_never_changes_virtual_time() {
-        let run = |data: bool, copy: bool| {
+    fn data_payloads_never_change_virtual_time() {
+        let run = |data: bool| {
             let mut sim = SimCluster::new(HwProfile::myrinet_pentium3(), 4, 1);
             sim.set_data_payloads(data);
-            sim.set_copy_datapath(copy);
             let file = sim.create_file("virt", Scheme::Raid5, 4 * 1024);
             let group = 3 * 4 * 1024u64;
             sim.run_phase(vec![(0, vec![Op::Write { file, off: 0, len: 4 * group }])]);
@@ -283,44 +220,31 @@ mod tests {
             // so both the RMW splice and the whole-group fold run.
             sim.run_phase(vec![(0, vec![Op::Write { file, off: 2048, len: 3 * group }])])
         };
-        let phantom = run(false, false);
-        let data_inplace = run(true, false);
-        let data_copying = run(true, true);
-        for (name, r) in [("data+inplace", &data_inplace), ("data+copying", &data_copying)] {
-            assert_eq!(r.duration_ns, phantom.duration_ns, "{name}: virtual time diverged");
-            assert_eq!(r.bytes_written, phantom.bytes_written, "{name}: byte accounting diverged");
-            assert_eq!(r.requests, phantom.requests, "{name}: request count diverged");
+        let phantom = run(false);
+        let data = run(true);
+        assert_eq!(data.duration_ns, phantom.duration_ns, "virtual time diverged");
+        assert_eq!(data.bytes_written, phantom.bytes_written, "byte accounting diverged");
+        assert_eq!(data.requests, phantom.requests, "request count diverged");
+    }
+
+    /// Which side is faster is codegen- and host-dependent (release
+    /// lifts even the byte loop to SIMD), so the bench reports the
+    /// numbers and the test pins only their shape.
+    #[test]
+    fn xor_rates_report_every_round() {
+        let rates = xor_rates(&[4096, 4096 + 13], 3, 64 * 1024);
+        assert_eq!(rates.len(), 2);
+        for r in &rates {
+            assert_eq!((r.kernel_gbps.len(), r.plain_gbps.len()), (3, 3));
+            assert!(r.kernel_gbps.iter().chain(&r.plain_gbps).all(|&g| g > 0.0));
+            assert!(r.kernel_gbps.windows(2).all(|w| w[0] <= w[1]), "rounds sorted");
         }
     }
 
-    /// Kernel ladder sanity: every rung reports positive bandwidth and
-    /// the auto dispatch adds no significant overhead over the rung it
-    /// dispatches to (unrolled below the parallel threshold, parallel
-    /// above). Which rung is *fastest* is codegen- and host-dependent —
-    /// debug builds don't vectorize the unrolled kernel, release lifts
-    /// even bytewise to SIMD — so the bench reports the ladder and the
-    /// test only pins the dispatch cost. Best-of-3: this test shares
-    /// the process with two dozen concurrently-running suites, and a
-    /// single measurement can land while every core is busy elsewhere.
     #[test]
-    fn kernel_ladder_shapes() {
-        let mut last = (0.0f64, 0.0f64);
-        for _ in 0..3 {
-            let rungs = kernel_ladder(256 * 1024, 16);
-            assert_eq!(rungs.len(), 5);
-            for r in &rungs {
-                assert!(r.gbps > 0.0, "{}: bandwidth must be positive", r.kernel);
-            }
-            let of = |k: &str| rungs.iter().find(|r| r.kernel == k).unwrap().gbps;
-            let target = of("unrolled").max(of("parallel"));
-            if of("auto") > 0.4 * target {
-                return;
-            }
-            last = (of("auto"), target);
-        }
-        panic!(
-            "auto dispatch ({:.2} GB/s) must stay near its dispatch target ({:.2} GB/s)",
-            last.0, last.1
-        );
+    fn quartiles_interpolate() {
+        assert_eq!(quartiles(&[1.0, 2.0, 3.0, 4.0, 5.0]), [2.0, 3.0, 4.0]);
+        assert_eq!(quartiles(&[1.0, 2.0]), [1.25, 1.5, 1.75]);
+        assert_eq!(quartiles(&[]), [0.0, 0.0, 0.0]);
     }
 }

@@ -26,3 +26,14 @@ pub mod trace_overhead;
 pub mod trends;
 
 pub use harness::{run_fresh, run_overwrite, ExperimentResult, Series};
+
+/// Serialises the unit tests that reset or enable the process-wide
+/// [`csar_obs::global`] registry, so one test's enable/reset never lands
+/// inside another's measured window.
+#[cfg(test)]
+pub(crate) fn global_registry_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A panicking holder only poisons the guard; the registry is reset
+    // by every test that takes it, so the poison carries no state.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

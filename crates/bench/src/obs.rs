@@ -3,9 +3,9 @@
 //!
 //! Two claims, one measurement each:
 //!
-//! * **[`compare_all`]** — host wall-clock of the datapath bench's
-//!   RAID5 multi-stripe whole-group write phase (real byte payloads)
-//!   with metric recording enabled versus disabled
+//! * **[`compare_all`]** — host wall-clock of the RAID5 multi-stripe
+//!   whole-group write phase (real byte payloads, [`crate::datapath`]
+//!   geometry) with metric recording enabled versus disabled
 //!   ([`SimCluster::set_metrics_enabled`]). Virtual-time results are
 //!   identical by construction — the registry is outside the timing
 //!   model — so any wall-clock difference is the cost of the recording
@@ -64,8 +64,8 @@ impl ObsComparison {
     }
 }
 
-/// Run one measured write phase (the datapath bench's steady-state
-/// whole-group overwrite shape) with metric recording on or off.
+/// Run one measured write phase (the steady-state whole-group
+/// overwrite shape of [`crate::datapath`]) with metric recording on or off.
 ///
 /// The process-global client registry is reset before and disabled
 /// after each run so back-to-back invocations (and the rest of the
@@ -187,6 +187,7 @@ mod tests {
     /// protocol and virtual timings are identical either way.
     #[test]
     fn metrics_mode_never_changes_virtual_time() {
+        let _global = crate::global_registry_lock();
         let (off, _) = run_wall_obs(Scheme::Raid5, false, 2);
         let (on, snap) = run_wall_obs(Scheme::Raid5, true, 2);
         assert_eq!(on.virt.duration_ns, off.virt.duration_ns, "virtual time diverged");
@@ -201,6 +202,7 @@ mod tests {
     /// The metrics-off baseline records nothing at all.
     #[test]
     fn metrics_off_records_nothing() {
+        let _global = crate::global_registry_lock();
         let (_, snap) = run_wall_obs(Scheme::Raid5, false, 2);
         assert_eq!(snap.counters, Vec::new(), "disabled registries must stay empty");
     }

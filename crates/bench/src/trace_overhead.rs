@@ -40,7 +40,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceCase {
     /// RAID5 multi-stripe whole-group overwrites (parity folded from
-    /// fresh data, no reads) — the datapath bench's acceptance shape.
+    /// fresh data, no reads) — the zero-allocation datapath's acceptance
+    /// shape.
     WholeGroup,
     /// Hybrid sub-unit partial writes — the §5 read-modify-write path,
     /// where per-request spans are largest relative to the data moved.
@@ -315,6 +316,7 @@ mod tests {
     /// traced side actually records the expected phases.
     #[test]
     fn tracing_mode_never_changes_virtual_time() {
+        let _global = crate::global_registry_lock();
         for case in [TraceCase::WholeGroup, TraceCase::HybridPartial] {
             let (off, none) = run_wall_trace(case, false, 2);
             let (on, spans) = run_wall_trace(case, true, 2);
@@ -336,6 +338,7 @@ mod tests {
     /// ID allocators) and causally well-formed.
     #[test]
     fn sample_spans_are_deterministic_and_nest() {
+        let _global = crate::global_registry_lock();
         let a = sample_traced_spans(0.05);
         let b = sample_traced_spans(0.05);
         assert_eq!(a, b, "sample must be bit-identical across calls");

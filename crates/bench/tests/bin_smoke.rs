@@ -43,6 +43,18 @@ fn figures_rejects_bad_flags() {
     let (ok, _, stderr) = run(env!("CARGO_BIN_EXE_figures"), &["fig3", "--scale"]);
     assert!(!ok);
     assert!(stderr.contains("usage"));
+    // The suite is named, never guessed from the output path: an
+    // unknown suite is a usage error even when the path names a real one.
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--bench-json", "nosuch", "BENCH_obs.json"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown --bench-json suite `nosuch`"));
+    // A suite without a path is a usage error too.
+    let (ok, _, stderr) = run(env!("CARGO_BIN_EXE_figures"), &["--bench-json", "datapath"]);
+    assert!(!ok);
+    assert!(stderr.contains("missing path for --bench-json"));
 }
 
 #[test]

@@ -32,7 +32,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Transport tuning for client operations. Set cluster-wide via
+/// Transport settings for client operations. Set cluster-wide via
 /// [`crate::Cluster::set_transport_config`] (or just the deadline via
 /// [`crate::Cluster::set_reply_timeout`]).
 #[derive(Clone, Copy, Debug)]

@@ -94,7 +94,7 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Spawn a cluster of `n` I/O servers with the given server tuning.
+    /// Spawn a cluster of `n` I/O servers with the given server settings.
     ///
     /// # Panics
     /// Panics if `n == 0`.
@@ -302,7 +302,7 @@ impl Cluster {
         Ok(merged)
     }
 
-    /// Replace the transport tuning (in-flight window, reply deadline,
+    /// Replace the transport settings (in-flight window, reply deadline,
     /// retry policy) for all operations started after this call.
     pub fn set_transport_config(&self, cfg: TransportConfig) {
         *self.inner.transport.lock().unwrap_or_else(PoisonError::into_inner) = cfg;

@@ -64,10 +64,6 @@ pub struct WriteDriver {
     /// `batch_issue` bookkeeping: completed partial-group RMW parities
     /// (`partials` index, new parity) waiting for the combined flush.
     batch_partials: Vec<(usize, Payload)>,
-    /// Copy-datapath compat (see [`WriteDriver::set_copy_datapath`]):
-    /// parity folds allocate per step (`xor`/`concat`) instead of
-    /// accumulating in place. A/B reference for the datapath bench.
-    copy_fold: bool,
     started: bool,
     finished: bool,
     pending: HashMap<Token, Pending>,
@@ -247,7 +243,6 @@ impl WriteDriver {
             full_deferred: false,
             batch_full: None,
             batch_partials: Vec::new(),
-            copy_fold: false,
             started: false,
             finished: false,
             pending: HashMap::new(),
@@ -267,15 +262,6 @@ impl WriteDriver {
     pub fn set_batch_issue(&mut self, on: bool) {
         debug_assert!(!self.started, "issue order fixed before Begin");
         self.batch_issue = on;
-    }
-
-    /// Use the pre-zero-allocation parity fold: every fold step clones
-    /// (`Payload::xor`) and every splice re-concatenates
-    /// ([`Payload::concat_flat`]). Produces byte-identical parities to
-    /// the default in-place path; kept as the A/B reference for the
-    /// datapath bench and for bisecting fold regressions.
-    pub fn set_copy_datapath(&mut self, on: bool) {
-        self.copy_fold = on;
     }
 
     fn layout(&self) -> &Layout {
@@ -485,18 +471,12 @@ impl WriteDriver {
             } else {
                 let first = ly.group_first_block(g);
                 let mut acc = self.payload_at(first * unit, unit);
-                if self.copy_fold {
-                    for b in first + 1..first + ly.group_width_blocks() {
-                        acc = legacy_rewrap(acc.xor(&self.payload_at(b * unit, unit)));
-                    }
-                } else {
-                    // In-place fold: the first block's slice is shared
-                    // with the op payload, so the fold's first
-                    // `xor_assign` pays the group's one copy; the rest
-                    // accumulate into that buffer with no allocation.
-                    for b in first + 1..first + ly.group_width_blocks() {
-                        acc.xor_assign(&self.payload_at(b * unit, unit));
-                    }
+                // In-place fold: the first block's slice is shared with
+                // the op payload, so the fold's first `xor_assign` pays
+                // the group's one copy; the rest accumulate into that
+                // buffer with no allocation.
+                for b in first + 1..first + ly.group_width_blocks() {
+                    acc.xor_assign(&self.payload_at(b * unit, unit));
                 }
                 bytes += ly.group_width_blocks() * unit;
                 acc
@@ -612,20 +592,11 @@ impl WriteDriver {
                     .ok_or_else(|| CsarError::Protocol("old data not read before compute".into()))?;
                 let new = self.payload_at(s.logical_off, s.len);
                 let intra = s.logical_off % unit - lo;
-                if self.copy_fold {
-                    let delta = legacy_rewrap(old.xor(&new));
-                    // Fold delta into parity at the intra offset.
-                    let before = parity.slice(0, intra);
-                    let target = legacy_rewrap(parity.slice(intra, s.len).xor(&delta));
-                    let after = parity.slice(intra + s.len, (hi - lo) - intra - s.len);
-                    parity = legacy_rewrap(csar_store::concat_flat(&[before, target, after]));
-                } else {
-                    // P' = P ⊕ D_old ⊕ D_new spliced in place: the first
-                    // `xor_at` uniquifies the server's parity reply (the
-                    // one copy); no delta buffer, no re-concatenation.
-                    parity.xor_at(intra, &old);
-                    parity.xor_at(intra, &new);
-                }
+                // P' = P ⊕ D_old ⊕ D_new spliced in place: the first
+                // `xor_at` uniquifies the server's parity reply (the one
+                // copy); no delta buffer, no re-concatenation.
+                parity.xor_at(intra, &old);
+                parity.xor_at(intra, &new);
             }
             (parity, 3 * len_total)
         };
@@ -884,20 +855,5 @@ impl OpDriver for WriteDriver {
             effects.push(Effect::Done(Ok(OpOutput::Written { bytes: self.payload.len() })));
         }
         effects
-    }
-}
-
-/// Re-wrap a data payload through a fresh allocation — part of the
-/// [`WriteDriver::set_copy_datapath`] reference path.
-///
-/// The pre-zero-allocation `Bytes::from(Vec)` went through
-/// `Arc::<[u8]>::from`, which copies the bytes into a new allocation
-/// (the refcount header lives inline with the slice). `Bytes` now wraps
-/// the `Vec` without copying, so a faithful "before" measurement has to
-/// put that copy back on every fold/concat result it produces.
-fn legacy_rewrap(p: Payload) -> Payload {
-    match &p {
-        Payload::Data(b) => Payload::from_vec(b.to_vec()),
-        _ => p,
     }
 }

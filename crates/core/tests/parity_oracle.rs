@@ -1,16 +1,18 @@
-//! The in-place parity fold must be a pure performance change.
+//! The in-place parity folds checked against a flat model of the file.
 //!
-//! `WriteDriver::set_copy_datapath` keeps the pre-zero-allocation fold
-//! (per-step `xor` clones, slice/concat splices) alive as a reference.
-//! These tests run the same workloads through both folds against real
-//! `IoServer`s and require byte-identical results — for plain reads
-//! (identical data blocks) and for degraded reads around every server
-//! in turn (identical parity blocks, since reconstruction folds parity
-//! back through the survivors).
+//! Three writes — a whole-group body, an unaligned overwrite with RMW
+//! splices on both ends, and a sub-unit write — run through the write
+//! driver against real `IoServer`s, and a `Vec<u8>` model of the file
+//! takes the same writes. Every plain read and every degraded read
+//! around each server must equal the model (degraded reads fold parity
+//! back through the survivors, so a wrong parity block shows), and
+//! under RAID5 every group's parity block must be the XOR of the
+//! model's data blocks.
 
 use csar_core::client::{OpDriver, ReadDriver, WriteDriver};
 use csar_core::manager::FileMeta;
-use csar_core::proto::{Request, Response, Scheme, ServerId};
+use csar_core::proto::{ReqHeader, Request, Response, Scheme, ServerId};
+use csar_core::recovery::parity_consistent;
 use csar_core::server::{Effect as SrvEffect, IoServer, ServerConfig};
 use csar_core::{CsarError, Layout};
 use csar_store::{Payload, SplitMix64};
@@ -41,9 +43,8 @@ impl Cluster {
         csar_core::client::run_driver(d, |s, r| Ok(self.exchange(s, r))).unwrap();
     }
 
-    fn write(&mut self, meta: &FileMeta, off: u64, data: &[u8], copy_fold: bool) {
+    fn write(&mut self, meta: &FileMeta, off: u64, data: &[u8]) {
         let mut d = WriteDriver::new(meta, off, Payload::from_vec(data.to_vec()));
-        d.set_copy_datapath(copy_fold);
         self.run(&mut d);
     }
 
@@ -58,15 +59,24 @@ impl Cluster {
         .unwrap();
         out.into_payload().as_bytes().unwrap().to_vec()
     }
+
+    fn parity_block(&mut self, meta: &FileMeta, group: u64) -> Vec<u8> {
+        let hdr = ReqHeader::new(meta.fh, meta.layout, meta.scheme);
+        let len = meta.layout.stripe_unit;
+        let srv = meta.layout.parity_server(group);
+        let resp = self.exchange(srv, Request::ParityRead { hdr, group, intra: 0, len });
+        resp.into_payload().unwrap().as_bytes().unwrap().to_vec()
+    }
 }
 
 fn meta(scheme: Scheme, servers: u32, unit: u64) -> FileMeta {
     FileMeta { fh: 1, name: "ab".into(), scheme, layout: Layout::new(servers, unit), size: 1 << 20 }
 }
 
-/// Run the same write workload through the copying and in-place folds
-/// and require identical plain and degraded read-back on every range.
-fn assert_folds_identical(scheme: Scheme) {
+/// Run the write workload against real servers and a flat model, then
+/// check plain reads, degraded reads around every server and (RAID5)
+/// every group's parity block against the model.
+fn assert_matches_model(scheme: Scheme) {
     let servers = 4u32;
     let unit = 4096u64;
     let m = meta(scheme, servers, unit);
@@ -86,33 +96,38 @@ fn assert_folds_identical(scheme: Scheme) {
         (group + 17, gen(97)),
     ];
 
-    let mut inplace = Cluster::new(servers);
-    let mut copying = Cluster::new(servers);
+    let mut cluster = Cluster::new(servers);
+    let mut model = vec![0u8; total as usize];
     for (off, data) in &writes {
-        inplace.write(&m, *off, data, false);
-        copying.write(&m, *off, data, true);
+        cluster.write(&m, *off, data);
+        model[*off as usize..*off as usize + data.len()].copy_from_slice(data);
     }
 
-    assert_eq!(
-        inplace.read(&m, 0, total, None),
-        copying.read(&m, 0, total, None),
-        "{scheme:?}: plain read-back diverged between folds"
-    );
+    assert!(cluster.read(&m, 0, total, None) == model, "{scheme:?}: plain read differs from the model");
     for failed in 0..servers {
-        assert_eq!(
-            inplace.read(&m, 0, total, Some(failed)),
-            copying.read(&m, 0, total, Some(failed)),
-            "{scheme:?}: degraded read around server {failed} diverged — parity differs"
+        assert!(
+            cluster.read(&m, 0, total, Some(failed)) == model,
+            "{scheme:?}: degraded read around server {failed} differs from the model"
         );
     }
+    if scheme == Scheme::Raid5 {
+        for g in 0..total / group {
+            let blocks: Vec<&[u8]> =
+                model[(g * group) as usize..((g + 1) * group) as usize].chunks(unit as usize).collect();
+            assert!(
+                parity_consistent(&blocks, &cluster.parity_block(&m, g)),
+                "group {g}: parity block is not the XOR of the model's data blocks"
+            );
+        }
+    }
 }
 
 #[test]
-fn raid5_copy_and_inplace_folds_are_byte_identical() {
-    assert_folds_identical(Scheme::Raid5);
+fn raid5_writes_match_flat_model() {
+    assert_matches_model(Scheme::Raid5);
 }
 
 #[test]
-fn hybrid_copy_and_inplace_folds_are_byte_identical() {
-    assert_folds_identical(Scheme::Hybrid);
+fn hybrid_writes_match_flat_model() {
+    assert_matches_model(Scheme::Hybrid);
 }

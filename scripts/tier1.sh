@@ -6,26 +6,38 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+# --workspace is a superset of the root package's `cargo test -q`: it
+# also gates every member crate's unit and integration tests.
+cargo test -q --workspace
 # The analysis passes cover the PR 2 modules too: lint's
 # no-unwrap-request-path now includes crates/cluster/src/client.rs, and
 # check's suite exercises the pipelined parity-lock scenarios.
 cargo run -q -p csar-analysis -- lint
 cargo run -q -p csar-analysis -- check
-# Perf trajectory: regenerate the barrier-vs-pipelined ablation so
-# BENCH_pipeline.json tracks the completion-driven engine from PR 2 on.
-cargo run -q --release -p csar-bench --bin figures -- --bench-json BENCH_pipeline.json
+# Pipelining ablation: barrier vs completion-driven delivery, measured
+# in simulator virtual time, so a rerun reproduces the committed
+# BENCH_pipeline.json byte for byte. Written to a scratch path and
+# compared, so the gate never rewrites the committed file (regenerate
+# it with `figures --bench-json pipeline BENCH_pipeline.json`).
+pipeline=$(mktemp /tmp/BENCH_pipeline.XXXXXX.json)
+trap 'rm -f "$pipeline"' EXIT
+cargo run -q --release -p csar-bench --bin figures -- --bench-json pipeline "$pipeline"
+cmp "$pipeline" BENCH_pipeline.json || {
+    echo "tier1: FAIL — pipelining ablation no longer reproduces BENCH_pipeline.json" >&2
+    exit 1
+}
+echo "tier1: pipelining ablation reproduces BENCH_pipeline.json (gate ok)"
 # Datapath smoke (PR 3): a scaled-down run of the zero-allocation
-# ablation. The allocation audit is exact and hermetic, so the gate is
-# hard: steady-state whole-group parity computation must stay at zero
-# heap allocations. The wall-clock speedup column is host-dependent and
-# therefore reported, not gated.
+# measurements. The allocation audit is exact and hermetic, so the gate
+# is hard: steady-state whole-group parity computation must stay at
+# zero heap allocations. The XOR bandwidth columns are host-dependent
+# and therefore reported, not gated.
 # The smoke run writes to a scratch path so it never clobbers the
 # committed full-scale BENCH_datapath.json (regenerate that with
-# `figures --bench-json BENCH_datapath.json`).
+# `figures --bench-json datapath BENCH_datapath.json`).
 smoke=$(mktemp /tmp/BENCH_datapath_smoke.XXXXXX.json)
-trap 'rm -f "$smoke"' EXIT
-cargo run -q --release -p csar-bench --bin figures -- --bench-json "$smoke" --scale 0.25
+trap 'rm -f "$pipeline" "$smoke"' EXIT
+cargo run -q --release -p csar-bench --bin figures -- --bench-json datapath "$smoke" --scale 0.25
 grep -q '"steady_allocs": 0' "$smoke" || {
     echo "tier1: FAIL — steady-state datapath allocations regressed above zero" >&2
     grep '"steady_allocs"' "$smoke" >&2
@@ -38,10 +50,10 @@ echo "tier1: datapath steady-state allocations: 0 (gate ok)"
 # is hard: both must stay at zero steady-state allocations. The
 # wall-clock overhead column is host-dependent and therefore reported,
 # not gated (regenerate the committed full-scale BENCH_obs.json with
-# `figures --bench-json BENCH_obs.json`).
+# `figures --bench-json obs BENCH_obs.json`).
 obs_smoke=$(mktemp /tmp/BENCH_obs_smoke.XXXXXX.json)
-trap 'rm -f "$smoke" "$obs_smoke"' EXIT
-cargo run -q --release -p csar-bench --bin figures -- --bench-json "$obs_smoke" --scale 0.25
+trap 'rm -f "$pipeline" "$smoke" "$obs_smoke"' EXIT
+cargo run -q --release -p csar-bench --bin figures -- --bench-json obs "$obs_smoke" --scale 0.25
 zeroed=$(grep -c '"steady_allocs": 0' "$obs_smoke" || true)
 if [ "$zeroed" -ne 2 ]; then
     echo "tier1: FAIL — a steady-state allocation audit regressed above zero" >&2
@@ -58,10 +70,10 @@ echo "tier1: obs steady-state allocations: 0 (gate ok)"
 # bit-for-bit (`roundtrip_ok`). The wall-clock overhead column is
 # host-dependent and therefore reported, not gated (regenerate the
 # committed full-scale BENCH_trace.json with
-# `figures --bench-json BENCH_trace.json`).
+# `figures --bench-json trace BENCH_trace.json`).
 trace_smoke=$(mktemp /tmp/BENCH_trace_smoke.XXXXXX.json)
-trap 'rm -f "$smoke" "$obs_smoke" "$trace_smoke"' EXIT
-cargo run -q --release -p csar-bench --bin figures -- --bench-json "$trace_smoke" --scale 0.25
+trap 'rm -f "$pipeline" "$smoke" "$obs_smoke" "$trace_smoke"' EXIT
+cargo run -q --release -p csar-bench --bin figures -- --bench-json trace "$trace_smoke" --scale 0.25
 zeroed=$(grep -c '"steady_allocs": 0' "$trace_smoke" || true)
 if [ "$zeroed" -ne 2 ]; then
     echo "tier1: FAIL — a trace-path steady-state allocation audit regressed above zero" >&2
@@ -79,7 +91,7 @@ echo "tier1: trace steady-state allocations: 0, Chrome export round-trips (gate 
 # JSON and re-parses it; it exits nonzero on any nesting or round-trip
 # failure.
 chrome_smoke=$(mktemp /tmp/chrome_trace_smoke.XXXXXX.json)
-trap 'rm -f "$smoke" "$obs_smoke" "$trace_smoke" "$chrome_smoke"' EXIT
+trap 'rm -f "$pipeline" "$smoke" "$obs_smoke" "$trace_smoke" "$chrome_smoke"' EXIT
 cargo run -q --release -p csar-bench --bin trace -- "$chrome_smoke" --scale 0.1 > /dev/null
 grep -q '"traceEvents"' "$chrome_smoke" || {
     echo "tier1: FAIL — trace exporter wrote no traceEvents" >&2
@@ -93,7 +105,7 @@ echo "tier1: trace exporter: spans nest, Chrome JSON round-trips (gate ok)"
 # abandoned) holds. --json-out exercises the snapshot file path that
 # scripts consume.
 stats_out=$(mktemp /tmp/stats_snapshot.XXXXXX.json)
-trap 'rm -f "$smoke" "$obs_smoke" "$trace_smoke" "$chrome_smoke" "$stats_out"' EXIT
+trap 'rm -f "$pipeline" "$smoke" "$obs_smoke" "$trace_smoke" "$chrome_smoke" "$stats_out"' EXIT
 cargo run -q --release -p csar-bench --bin stats -- --json-out "$stats_out" > /dev/null
 grep -q '"counters"' "$stats_out" || {
     echo "tier1: FAIL — stats --json-out wrote no counters" >&2
@@ -101,7 +113,7 @@ grep -q '"counters"' "$stats_out" || {
 }
 echo "tier1: live metrics scrape: snapshot round-trips, engine balanced (gate ok)"
 # §6.7 cleaner regressions (group-precision, tail reclaim, lost-update
-# race): already part of `cargo test -q` above, re-run here by name so
+# race): already part of `cargo test -q --workspace` above, re-run here by name so
 # a gate failure points straight at the cleaner.
 cargo test -q -p csar-cluster --test maintenance > /dev/null
 echo "tier1: cleaner regression tests: ok"
