@@ -609,6 +609,7 @@ impl Handle {
 
     /// A manager round trip.
     pub(crate) fn mgr(&self, req: MgrRequest) -> Result<MgrResponse, CsarError> {
+        self.obs().inc(Ctr::MgrRequests);
         let (tx, rx) = channel();
         self.inner
             .mgr_tx
@@ -685,11 +686,7 @@ impl ClusterClient {
     /// Remove a file's metadata (its server-side storage is left to the
     /// harness to wipe; PVFS-era semantics).
     pub fn remove(&self, name: &str) -> Result<(), CsarError> {
-        match self.handle.mgr(MgrRequest::Remove { name: name.into() })? {
-            MgrResponse::Ok => Ok(()),
-            MgrResponse::Err(e) => Err(e),
-            other => Err(CsarError::Protocol(format!("expected Ok, got {other:?}"))),
-        }
+        self.handle.mgr(MgrRequest::Remove { name: name.into() })?.into_ok()
     }
 }
 
@@ -698,12 +695,21 @@ impl ClusterClient {
 pub struct File {
     handle: Handle,
     meta: Mutex<FileMeta>,
+    /// The largest EOF the manager has acknowledged to this handle: the
+    /// size `create`/`open` returned, raised only after a `SetSize`
+    /// reply. The manager's size is max-only, so this never exceeds it,
+    /// and a write ending at or below it needs no manager round trip.
+    /// The writer's `Acquire` load pairs with the raiser's `AcqRel`
+    /// `fetch_max`, so a writer that skips the report is ordered after
+    /// the reply that covered its bytes.
+    acked: AtomicU64,
     stats: Mutex<OpStats>,
 }
 
 impl File {
     fn new(handle: Handle, meta: FileMeta) -> Self {
-        Self { handle, meta: Mutex::new(meta), stats: Mutex::new(OpStats::default()) }
+        let acked = AtomicU64::new(meta.size);
+        Self { handle, meta: Mutex::new(meta), acked, stats: Mutex::new(OpStats::default()) }
     }
 
     /// Snapshot of the file's metadata.
@@ -751,6 +757,13 @@ impl File {
 
     /// Write a [`Payload`] at `off` (phantom payloads keep accounting
     /// without storing bytes — used by size-only workload harnesses).
+    ///
+    /// A write that ends past the EOF the manager has acknowledged to
+    /// this handle reports its end with one blocking `SetSize` before
+    /// returning; an overwrite inside it goes to the I/O servers only.
+    /// So an in-bounds overwrite through a handle whose file was removed
+    /// succeeds (the servers take its bytes either way), while a growing
+    /// write through it fails with `NoSuchHandle`.
     pub fn write_payload(&self, off: u64, payload: Payload) -> Result<u64, CsarError> {
         let len = payload.len();
         if len == 0 {
@@ -763,13 +776,10 @@ impl File {
         let mut driver = WriteDriver::new_degraded(&meta, off, payload, failed);
         let t0 = Instant::now();
         let (out, stats) = self.handle.run_op(&mut driver)?;
-        self.handle.obs().observe(Hist::OpWriteNs, t0.elapsed().as_nanos() as u64);
-        self.handle.obs().span(SpanKind::Write, t0, len);
         self.record(&stats);
         let OpOutput::Written { bytes } = out else {
             return Err(CsarError::Protocol("write returned a read output".into()));
         };
-        // Report the new EOF to the manager (PVFS metadata update).
         let end = off + len;
         {
             let mut m = self.meta.lock().unwrap_or_else(PoisonError::into_inner);
@@ -777,7 +787,16 @@ impl File {
                 m.size = end;
             }
         }
-        self.handle.mgr(MgrRequest::SetSize { fh: meta.fh, size: end })?;
+        // Report the new EOF to the manager (PVFS metadata update). The
+        // watermark rises only on the manager's reply, so a concurrent
+        // writer that reads it stale sends a redundant SetSize, and no
+        // writer returns before the manager covers its bytes.
+        if end > self.acked.load(Ordering::Acquire) {
+            self.handle.mgr(MgrRequest::SetSize { fh: meta.fh, size: end })?.into_ok()?;
+            self.acked.fetch_max(end, Ordering::AcqRel);
+        }
+        self.handle.obs().observe(Hist::OpWriteNs, t0.elapsed().as_nanos() as u64);
+        self.handle.obs().span(SpanKind::Write, t0, len);
         Ok(bytes)
     }
 

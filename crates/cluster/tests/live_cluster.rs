@@ -503,6 +503,150 @@ fn remove_then_recreate_gets_fresh_handle() {
 }
 
 // ---------------------------------------------------------------------------
+// Manager round trips on the write path (DESIGN.md §9)
+
+#[test]
+fn manager_hears_only_writes_that_grow_the_file() {
+    // Only metadata changes reach the manager: a write costs one
+    // SetSize round trip when it ends past the EOF the manager has
+    // acknowledged to the handle, and none when it lands inside it.
+    use csar_obs::Ctr;
+    let cluster = Cluster::spawn(5, cfg());
+    let client = cluster.client();
+    let mgr_requests = || cluster.obs().counter(Ctr::MgrRequests);
+    let size = 64 * 1024u64;
+    for (i, scheme) in [Scheme::Raid5, Scheme::Hybrid].into_iter().enumerate() {
+        let name = format!("eof-{i}");
+        let f = client.create(&name, scheme, 1024).unwrap();
+        let mut shadow = pattern(size as usize, i as u64);
+
+        let before = mgr_requests();
+        f.write_at(0, &shadow).unwrap();
+        assert_eq!(mgr_requests() - before, 1, "{scheme:?}: growing write");
+
+        let mut rng = SplitMix64::new(40 + i as u64);
+        let before = mgr_requests();
+        for r in 0..100u64 {
+            let off = rng.gen_range(0..size - 4096 + 1);
+            let data = pattern(4096, 1000 * i as u64 + r);
+            f.write_at(off, &data).unwrap();
+            shadow[off as usize..off as usize + 4096].copy_from_slice(&data);
+        }
+        assert_eq!(mgr_requests() - before, 0, "{scheme:?}: 100 in-bounds 4 KiB overwrites");
+
+        let before = mgr_requests();
+        let data = pattern(4096, 77);
+        f.write_at(size - 4095, &data).unwrap();
+        assert_eq!(mgr_requests() - before, 1, "{scheme:?}: write ending 1 byte past EOF");
+        shadow.truncate(size as usize - 4095);
+        shadow.extend_from_slice(&data);
+
+        let reopened = cluster.client().open(&name).unwrap();
+        assert_eq!(reopened.size(), size + 1, "{scheme:?}");
+        assert_eq!(reopened.read_at(0, size + 1).unwrap(), shadow, "{scheme:?}");
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn manager_size_covers_every_returned_write() {
+    // Two threads share one File and grow it while a second client's
+    // File, opened at the old size, overwrites inside that size. The
+    // manager must cover every write by the time it returns. Byte
+    // ranges stay disjoint between threads so the contents and parity
+    // can be checked too.
+    use csar_obs::Ctr;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let unit = 1024u64;
+    let cluster = Cluster::spawn(5, cfg());
+    let writer = cluster.client();
+    let observer = cluster.client();
+    let f = writer.create("shared", Scheme::Raid5, unit).unwrap();
+    let old_size = 8 * 1024u64;
+    let mut old = pattern(old_size as usize, 1);
+    f.write_at(0, &old).unwrap();
+    let stale = cluster.client().open("shared").unwrap();
+    assert_eq!(stale.size(), old_size);
+
+    // Each writer appends extents it reserves past everything reserved
+    // so far, and overwrites its own earlier extents in place.
+    let reserved = AtomicU64::new(old_size);
+    let extents: Vec<(u64, Vec<u8>)> = std::thread::scope(|scope| {
+        let grow = |t: u64| {
+            let (f, observer, reserved) = (&f, &observer, &reserved);
+            scope.spawn(move || {
+                let mut own: Vec<(u64, Vec<u8>)> = Vec::new();
+                let mut rng = SplitMix64::new(t);
+                for r in 0..40u64 {
+                    let (off, data) = if r % 2 == 0 {
+                        let len = 1500 + rng.gen_range(0..1500);
+                        let gap = rng.gen_range(0..500);
+                        let off = reserved.fetch_add(gap + len, Ordering::SeqCst) + gap;
+                        own.push((off, pattern(len as usize, t * 100 + r)));
+                        own.last().unwrap().clone()
+                    } else {
+                        let i = rng.gen_range(0..own.len() as u64) as usize;
+                        own[i].1 = pattern(own[i].1.len(), t * 100 + r);
+                        own[i].clone()
+                    };
+                    f.write_at(off, &data).unwrap();
+                    let end = off + data.len() as u64;
+                    let seen = observer.open("shared").unwrap().size();
+                    assert!(seen >= end, "thread {t}: manager size {seen} < returned end {end}");
+                }
+                own
+            })
+        };
+        let threads = [grow(1), grow(2)];
+        let (stale, old) = (&stale, &mut old);
+        scope.spawn(move || {
+            for r in 0..40u64 {
+                let off = ((r * 613) % (old_size - 2048)) as usize;
+                let data = pattern(2048, 500 + r);
+                stale.write_at(off as u64, &data).unwrap();
+                old[off..off + 2048].copy_from_slice(&data);
+            }
+        });
+        threads.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    });
+    let ends = extents.iter().map(|(off, data)| off + data.len() as u64);
+    let max_end = ends.max().unwrap();
+    assert_eq!(cluster.client().open("shared").unwrap().size(), max_end);
+    assert_eq!(f.read_at(0, old_size).unwrap(), old);
+    for (off, data) in &extents {
+        assert_eq!(f.read_at(*off, data.len() as u64).unwrap(), *data, "extent at {off}");
+    }
+    assert_parity_consistent(&cluster, &f);
+
+    // The stale File's watermark is still the old size, so a write
+    // ending past it (but inside the manager's size) asks once, and the
+    // acknowledged end then covers a repeat.
+    let mgr_requests = || cluster.obs().counter(Ctr::MgrRequests);
+    let before = mgr_requests();
+    stale.write_at(old_size - 100, &pattern(1000, 9)).unwrap();
+    assert_eq!(mgr_requests() - before, 1, "stale handle reports its new end once");
+    stale.write_at(old_size - 100, &pattern(1000, 10)).unwrap();
+    assert_eq!(mgr_requests() - before, 1, "then it is acknowledged");
+    assert_eq!(cluster.client().open("shared").unwrap().size(), max_end);
+
+    // Once the file is removed, an overwrite inside the acknowledged EOF
+    // never reaches the manager and so succeeds: no NoSuchHandle.
+    writer.remove("shared").unwrap();
+    let before = mgr_requests();
+    f.write_at(max_end - 4096, &pattern(4096, 11)).unwrap();
+    assert_eq!(mgr_requests() - before, 0);
+    // A growing write is refused, and the refusal leaves the watermark
+    // where it was: a shorter write into the refused range asks again.
+    for len in [4096u64, 100] {
+        let before = mgr_requests();
+        let err = f.write_at(max_end, &pattern(len as usize, len)).unwrap_err();
+        assert!(matches!(err, CsarError::NoSuchHandle(_)), "got {err:?}");
+        assert_eq!(mgr_requests() - before, 1, "{len}-byte growing write");
+    }
+    cluster.shutdown();
+}
+
+// ---------------------------------------------------------------------------
 // Causal tracing & flight recorder (DESIGN.md §15)
 
 /// Walk a flight-recorder JSON dump's trace trees, calling `f` on every

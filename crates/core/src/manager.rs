@@ -115,6 +115,15 @@ impl MgrResponse {
             other => Err(CsarError::Protocol(format!("expected Meta reply, got {other:?}"))),
         }
     }
+
+    /// Unwrap an `Ok` reply.
+    pub fn into_ok(self) -> Result<(), CsarError> {
+        match self {
+            MgrResponse::Ok => Ok(()),
+            MgrResponse::Err(e) => Err(e),
+            other => Err(CsarError::Protocol(format!("expected Ok reply, got {other:?}"))),
+        }
+    }
 }
 
 /// The metadata manager state machine.

@@ -138,6 +138,8 @@ metric_enum! {
         ScrubGroupsChecked => "scrub_groups_checked",
         /// Mirror blocks the scrubber verified.
         ScrubMirrorsChecked => "scrub_mirrors_checked",
+        /// Client round trips to the metadata manager.
+        MgrRequests => "mgr_requests",
     }
 }
 

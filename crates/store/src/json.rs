@@ -172,13 +172,6 @@ impl Json {
         self.field(key)?.as_u64().ok_or_else(|| JsonError(format!("field `{key}` is not a u64")))
     }
 
-    /// Serialise compactly (no whitespace).
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Serialise with two-space indentation.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
@@ -266,9 +259,12 @@ impl Json {
     }
 }
 
+/// Compact serialisation (no whitespace); `to_string()` comes from here.
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string())
+        let mut out = String::new();
+        self.write(&mut out, None, 0);
+        f.write_str(&out)
     }
 }
 

@@ -117,3 +117,15 @@ echo "tier1: live metrics scrape: snapshot round-trips, engine balanced (gate ok
 # a gate failure points straight at the cleaner.
 cargo test -q -p csar-cluster --test maintenance > /dev/null
 echo "tier1: cleaner regression tests: ok"
+# Manager round trips on the write path (DESIGN.md §9): an exact
+# request count (0 per in-bounds overwrite, 1 per EOF-growing write) and
+# the manager's size covering every returned concurrent write. Also in
+# the workspace run above; re-run by name so a failure points at it.
+cargo test -q -p csar-cluster --test live_cluster manager_ > /dev/null
+echo "tier1: manager request-count and size-consistency tests: ok"
+# The live-cluster benchmark's own tests: read-verify and scrub catch a
+# corrupted block, every metric BENCHMARK.json names is reported, and a
+# tiny-scale run of each workload completes correctly. A client-API or
+# read-verify break fails here rather than in a benchmark run.
+cargo test -q --release --offline --manifest-path livebench/Cargo.toml > /dev/null
+echo "tier1: livebench checker tests: ok"
